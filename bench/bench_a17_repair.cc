@@ -24,7 +24,6 @@
 
 #include "bench_util.h"
 #include "griddecl/cluster/cluster.h"
-#include "griddecl/cluster/repair.h"
 
 namespace griddecl {
 namespace {

@@ -3,8 +3,9 @@
 #
 #   scripts/update_bench_baseline.sh [--repetitions N]
 #
-# Builds Release into build-baseline/ and reruns the gated benches with
-# pinned repetitions, overwriting bench/baselines/BENCH_*.json. Commit the
+# Builds Release into build-baseline/ and reruns every gated bench (the
+# list in scripts/run_gated_benches.sh, the same one the CI perf job runs)
+# with pinned repetitions, overwriting bench/baselines/BENCH_*.json. Commit the
 # result together with the change that legitimately moved the numbers, and
 # say why in the commit message — the perf job compares every PR against
 # these files.
@@ -19,21 +20,7 @@ if [[ "${1-}" == "--repetitions" ]]; then
 fi
 
 cmake -B build-baseline -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-baseline -j --target bench_a10_disk_map bench_a5_throughput bench_a13_serve bench_a14_pagescan
-
-mkdir -p bench/baselines
-build-baseline/bench/bench_a10_disk_map \
-  --bench-json=bench/baselines/BENCH_a10_disk_map.json \
-  --bench-repetitions="$repetitions"
-build-baseline/bench/bench_a5_throughput \
-  --bench-json=bench/baselines/BENCH_a5_throughput.json \
-  --bench-repetitions="$repetitions"
-build-baseline/bench/bench_a13_serve \
-  --bench-json=bench/baselines/BENCH_a13_serve.json \
-  --bench-repetitions="$repetitions"
-build-baseline/bench/bench_a14_pagescan \
-  --bench-json=bench/baselines/BENCH_a14_pagescan.json \
-  --bench-repetitions="$repetitions"
+scripts/run_gated_benches.sh build-baseline bench/baselines "$repetitions"
 
 echo "baselines updated:"
 ls -l bench/baselines/

@@ -6,20 +6,23 @@
 #include <future>
 #include <utility>
 
-#include "griddecl/cluster/migrator.h"
-#include "griddecl/cluster/repair.h"
+#include "griddecl/common/random.h"
 
 namespace griddecl::cluster {
 
 namespace {
 
-/// SplitMix64 finalizer — the repo's standard deterministic hash (same
-/// construction backoff jitter and fault schedules use).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Copies every file of `from` into `to` — how a node is seeded from the
+/// catalog or caught up from a peer.
+Status CopyFiles(const StorageEnv& from, StorageEnv* to) {
+  auto files = from.ListFiles();
+  if (!files.ok()) return files.status();
+  for (const std::string& name : files.value()) {
+    auto bytes = from.ReadFile(name);
+    if (!bytes.ok()) return bytes.status();
+    GRIDDECL_RETURN_IF_ERROR(to->WriteFile(name, bytes.value()));
+  }
+  return Status::Ok();
 }
 
 /// Uniform double in [0, 1) from a hash of (seed, a, b).
@@ -100,9 +103,6 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     }
   }
 
-  auto files = seed.ListFiles();
-  if (!files.ok()) return files.status();
-
   std::unique_ptr<Cluster> cluster(new Cluster());
   cluster->options_ = std::move(options);
   const ClusterOptions& opts = cluster->options_;
@@ -131,44 +131,16 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
       std::make_unique<HeartbeatDetector>(opts.heartbeat, max_nodes);
 
   std::vector<std::shared_ptr<serve::QueryService>> services;
-  for (uint32_t n = 0; n < opts.num_nodes; ++n) {
-    auto node = std::make_unique<Node>();
-    for (const std::string& name : files.value()) {
-      auto bytes = seed.ReadFile(name);
-      if (!bytes.ok()) return bytes.status();
-      GRIDDECL_RETURN_IF_ERROR(node->env.WriteFile(name, bytes.value()));
-    }
-    FaultyEnvOptions fo;
-    fo.seed = opts.fault_seed + n;
-    fo.transient_error_prob = opts.node_transient_prob;
-    fo.max_transient_attempts = opts.node_max_transient_attempts;
-    fo.latency_ms =
-        n < opts.node_latency_ms.size() ? opts.node_latency_ms[n] : 0.0;
-    for (const NodeFaultWindow& w : cluster->effective_windows_) {
-      if (w.node != n) continue;
-      fo.permanent.push_back(FaultRange{
-          "", 0, std::numeric_limits<uint64_t>::max(), w.from_ms, w.until_ms});
-    }
-    auto faulty = FaultyEnv::Create(&node->env, std::move(fo));
-    if (!faulty.ok()) return faulty.status();
-    node->faulty = std::move(faulty.value());
-
-    serve::ServeOptions so = opts.node;
-    so.seed += n;  // decorrelate retry jitter across nodes
-    auto service = serve::QueryService::Create(node->faulty.get(), so);
-    if (!service.ok()) return service.status();
-    node->service =
-        std::shared_ptr<serve::QueryService>(std::move(service.value()));
-    services.push_back(node->service);
-    cluster->nodes_.push_back(std::move(node));
-    cluster->heartbeat_->Track(n);
+  for (uint32_t n = 0; n < max_nodes; ++n) {
+    // Growth slots stay empty (env/service materialize in AddNode) and
+    // killed until then so no path ever routes to them.
+    cluster->nodes_.push_back(std::make_unique<Node>());
+    cluster->nodes_[n]->killed.store(n >= opts.num_nodes);
   }
-  for (uint32_t n = opts.num_nodes; n < max_nodes; ++n) {
-    // Empty growth slot: env/service materialize in AddNode. Killed until
-    // then so no path ever routes to it.
-    auto node = std::make_unique<Node>();
-    node->killed.store(true);
-    cluster->nodes_.push_back(std::move(node));
+  for (uint32_t n = 0; n < opts.num_nodes; ++n) {
+    GRIDDECL_RETURN_IF_ERROR(cluster->MaterializeNode(n, seed));
+    services.push_back(cluster->nodes_[n]->service);
+    cluster->heartbeat_->Track(n);
   }
   cluster->active_nodes_.store(opts.num_nodes);
 
@@ -177,8 +149,9 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
     cluster->node_query_ms_.emplace_back(obs::DefaultLatencyBoundsMs());
   }
 
-  auto epoch =
-      cluster->BuildEpoch(manifest.value().generation, std::move(services));
+  auto epoch = cluster->BuildEpoch(manifest.value().generation,
+                                   std::move(services),
+                                   cluster->nodes_[0]->env);
   if (!epoch.ok()) return epoch.status();
   cluster->epoch_ = std::move(epoch.value());
 
@@ -209,14 +182,58 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(const StorageEnv& seed,
 
 Cluster::~Cluster() = default;
 
+Status Cluster::MaterializeNode(uint32_t n, const StorageEnv& from) {
+  Node& nd = *nodes_[n];
+  GRIDDECL_RETURN_IF_ERROR(CopyFiles(from, &nd.env));
+  FaultyEnvOptions fo;
+  fo.seed = options_.fault_seed + n;
+  fo.transient_error_prob = options_.node_transient_prob;
+  fo.max_transient_attempts = options_.node_max_transient_attempts;
+  fo.latency_ms =
+      n < options_.node_latency_ms.size() ? options_.node_latency_ms[n] : 0.0;
+  for (const NodeFaultWindow& w : effective_windows_) {
+    if (w.node != n) continue;
+    fo.permanent.push_back(FaultRange{
+        "", 0, std::numeric_limits<uint64_t>::max(), w.from_ms, w.until_ms});
+  }
+  auto faulty = FaultyEnv::Create(&nd.env, std::move(fo));
+  if (!faulty.ok()) return faulty.status();
+  nd.faulty = std::move(faulty.value());
+  nd.faulty->SetNowMs(virtual_now_ms_.load());
+  auto service = StartService(n, 0);
+  if (!service.ok()) return service.status();
+  nd.service = std::move(service.value());
+  return Status::Ok();
+}
+
+Result<std::shared_ptr<serve::QueryService>> Cluster::StartService(
+    uint32_t n, uint64_t generation) const {
+  serve::ServeOptions so = options_.node;
+  so.seed += n;  // decorrelate retry jitter across nodes
+  so.generation = generation;
+  auto service = serve::QueryService::Create(nodes_[n]->faulty.get(), so);
+  if (!service.ok()) return service.status();
+  return std::shared_ptr<serve::QueryService>(std::move(service.value()));
+}
+
+int Cluster::CommittedPeer(uint32_t skip) const {
+  const uint64_t committed = CurrentEpoch()->generation;
+  for (uint32_t p = 0; p < num_nodes(); ++p) {
+    if (p == skip || !NodeAlive(p)) continue;
+    auto pm = ReadCurrentManifest(nodes_[p]->env);
+    if (pm.ok() && pm.value().generation == committed) {
+      return static_cast<int>(p);
+    }
+  }
+  return -1;
+}
+
 Result<std::shared_ptr<const Cluster::Epoch>> Cluster::BuildEpoch(
     uint64_t generation,
     std::vector<std::shared_ptr<serve::QueryService>> services,
-    const StorageEnv* src) const {
-  // Live node envs hold identical catalog files by construction; a raw
-  // MemEnv (not the faulty wrapper) keeps epoch builds fault-free. Node 0
-  // by default; repair passes a live node because node 0 may be dead.
-  const StorageEnv& env = src != nullptr ? *src : nodes_[0]->env;
+    const StorageEnv& env) const {
+  // Node envs hold identical catalog files by construction; a raw MemEnv
+  // (not the faulty wrapper) keeps epoch builds fault-free.
   auto manifest = ReadManifest(env, generation);
   if (!manifest.ok()) return manifest.status();
   auto catalog = LoadCatalogFromManifest(env, manifest.value());
@@ -500,15 +517,7 @@ Status Cluster::ReviveNode(uint32_t node) {
   // before reloading the service — never readmit a stale route.
   auto current = ReadCurrentManifest(nd.env);
   if (!current.ok() || current.value().generation != epoch->generation) {
-    int peer = -1;
-    for (uint32_t p = 0; p < num_nodes(); ++p) {
-      if (p == node || !NodeAlive(p)) continue;
-      auto pm = ReadCurrentManifest(nodes_[p]->env);
-      if (pm.ok() && pm.value().generation == epoch->generation) {
-        peer = static_cast<int>(p);
-        break;
-      }
-    }
+    const int peer = CommittedPeer(node);
     if (peer < 0) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
       ++revive_fenced_;
@@ -516,13 +525,7 @@ Status Cluster::ReviveNode(uint32_t node) {
           "no live peer at the committed generation to catch node " +
           std::to_string(node) + " up; revival refused");
     }
-    auto files = nodes_[peer]->env.ListFiles();
-    if (!files.ok()) return files.status();
-    for (const std::string& name : files.value()) {
-      auto bytes = nodes_[peer]->env.ReadFile(name);
-      if (!bytes.ok()) return bytes.status();
-      GRIDDECL_RETURN_IF_ERROR(nd.env.WriteFile(name, bytes.value()));
-    }
+    GRIDDECL_RETURN_IF_ERROR(CopyFiles(nodes_[peer]->env, &nd.env));
     nd.service.reset();  // force a reload below — the catalog moved
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++revive_catchups_;
@@ -531,9 +534,7 @@ Status Cluster::ReviveNode(uint32_t node) {
   if (nd.service == nullptr || nd.service->generation() != epoch->generation) {
     // The cluster committed a newer generation while the node was down:
     // reload the node's service at CURRENT before readmitting it.
-    serve::ServeOptions so = options_.node;
-    so.seed += node;
-    auto service = serve::QueryService::Create(nd.faulty.get(), so);
+    auto service = StartService(node, 0);
     if (!service.ok()) return service.status();
     if (service.value()->generation() != epoch->generation) {
       std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -545,8 +546,7 @@ Status Cluster::ReviveNode(uint32_t node) {
           " but the cluster serves " + std::to_string(epoch->generation) +
           "; revival refused");
     }
-    nd.service =
-        std::shared_ptr<serve::QueryService>(std::move(service.value()));
+    nd.service = std::move(service.value());
     auto fresh = std::make_shared<Epoch>(*epoch);
     if (node < fresh->services.size()) {
       fresh->services[node] = nd.service;
@@ -620,45 +620,13 @@ Result<uint32_t> Cluster::AddNode(uint32_t rack, uint32_t zone) {
 
   // Seed the new node's env from a live peer at the committed generation.
   auto epoch = CurrentEpoch();
-  int peer = -1;
-  for (uint32_t p = 0; p < id; ++p) {
-    if (!NodeAlive(p)) continue;
-    auto pm = ReadCurrentManifest(nodes_[p]->env);
-    if (pm.ok() && pm.value().generation == epoch->generation) {
-      peer = static_cast<int>(p);
-      break;
-    }
-  }
+  const int peer = CommittedPeer(id);
   if (peer < 0) {
     return Status::Unavailable(
         "no live peer at the committed generation to seed the new node");
   }
-
   Node& nd = *nodes_[id];
-  auto files = nodes_[peer]->env.ListFiles();
-  if (!files.ok()) return files.status();
-  for (const std::string& name : files.value()) {
-    auto bytes = nodes_[peer]->env.ReadFile(name);
-    if (!bytes.ok()) return bytes.status();
-    GRIDDECL_RETURN_IF_ERROR(nd.env.WriteFile(name, bytes.value()));
-  }
-  FaultyEnvOptions fo;
-  fo.seed = options_.fault_seed + id;
-  fo.transient_error_prob = options_.node_transient_prob;
-  fo.max_transient_attempts = options_.node_max_transient_attempts;
-  fo.latency_ms = id < options_.node_latency_ms.size()
-                      ? options_.node_latency_ms[id]
-                      : 0.0;
-  auto faulty = FaultyEnv::Create(&nd.env, std::move(fo));
-  if (!faulty.ok()) return faulty.status();
-  nd.faulty = std::move(faulty.value());
-  nd.faulty->SetNowMs(virtual_now_ms_.load());
-  serve::ServeOptions so = options_.node;
-  so.seed += id;
-  auto service = serve::QueryService::Create(nd.faulty.get(), so);
-  if (!service.ok()) return service.status();
-  nd.service =
-      std::shared_ptr<serve::QueryService>(std::move(service.value()));
+  GRIDDECL_RETURN_IF_ERROR(MaterializeNode(id, nodes_[peer]->env));
 
   // Publish: topology first, then the node (release on active_nodes_ so
   // any reader that sees the new count sees a fully built slot). Existing
@@ -715,7 +683,7 @@ ClusterQueryResult Cluster::Execute(const serve::QueryRequest& request) {
 
   // Live double-read while a migration's staging epoch is installed: run
   // every complete query against the new layout too and compare bytes. A
-  // mismatch is divergence — flagged here, acted on by the migrator.
+  // mismatch is divergence — flagged here, acted on by the transition engine.
   auto staging = StagingEpoch();
   if (staging != nullptr && result.status.ok() && result.complete) {
     ClusterQueryResult shadow =
@@ -1117,59 +1085,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
     result.status = Status::Ok();
   }
   return result;
-}
-
-Result<MigrationReport> Cluster::Migrate(const MigrationOptions& options) {
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition("a migration is already running");
-  }
-  abort_migration_.store(false);
-  divergence_.store(false);
-  Migrator migrator(this);
-  auto report = migrator.Run(options);
-  SetStagingEpoch(nullptr);
-  migrating_.store(false);
-  if (report.ok()) {
-    if (report.value().committed) {
-      // A migration re-places by policy under the new disk count; any
-      // explicit repair table from before it is stale now.
-      SetPlacementTable({});
-    }
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    if (report.value().committed) {
-      ++migrations_committed_;
-    } else {
-      ++migrations_aborted_;
-    }
-    migration_buckets_copied_ += report.value().buckets_copied;
-  }
-  return report;
-}
-
-Result<RepairReport> Cluster::Repair(const RepairOptions& options) {
-  bool expected = false;
-  if (!migrating_.compare_exchange_strong(expected, true)) {
-    return Status::FailedPrecondition(
-        "a migration or repair is already running");
-  }
-  abort_migration_.store(false);
-  divergence_.store(false);
-  Repairer repairer(this);
-  auto report = repairer.Run(options);
-  SetStagingEpoch(nullptr);
-  migrating_.store(false);
-  if (report.ok()) {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    if (report.value().committed) {
-      ++repairs_committed_;
-      repair_replicas_rebuilt_ += report.value().replicas_retargeted;
-      repair_bytes_copied_ += report.value().bytes_copied;
-    } else if (!report.value().already_healthy) {
-      ++repairs_aborted_;
-    }
-  }
-  return report;
 }
 
 void Cluster::SnapshotMetrics(obs::MetricsRegistry* out) const {

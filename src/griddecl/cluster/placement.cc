@@ -2,17 +2,52 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
+
+#include "griddecl/common/random.h"
 
 namespace griddecl::cluster {
 
 namespace {
 
-/// splitmix64 finalizer — the deterministic tie-breaker for zone_aware.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// Seeded deterministic tie-break for copy `copy` of disk `disk` on `node`.
+uint64_t TieBreak(uint64_t seed, uint32_t disk, uint32_t copy, uint32_t node) {
+  return Mix64(seed ^ (static_cast<uint64_t>(disk) << 32) ^
+               (static_cast<uint64_t>(copy) << 20) ^ node);
+}
+
+/// The zone_aware ranking: the node for copy `copy` of disk `disk` that
+/// maximizes (new zone, new rack, new node, lightest load, TieBreak)
+/// against `holders`, the nodes holding the disk's other copies; the
+/// lowest id wins exact ties. Nodes marked in `dead` are skipped (an
+/// empty mask skips none).
+uint32_t ZoneAwarePick(const Topology& topology,
+                       const std::vector<uint32_t>& holders,
+                       const std::vector<uint64_t>& load,
+                       const std::vector<bool>& dead, uint64_t seed,
+                       uint32_t disk, uint32_t copy) {
+  std::set<uint32_t> nodes, racks, zones;
+  for (uint32_t h : holders) {
+    nodes.insert(h);
+    racks.insert(topology.rack_of(h));
+    zones.insert(topology.zone_of(h));
+  }
+  const auto score = [&](uint32_t n) {
+    return std::make_tuple(zones.count(topology.zone_of(n)) == 0,
+                           racks.count(topology.rack_of(n)) == 0,
+                           nodes.count(n) == 0, ~load[n],
+                           TieBreak(seed, disk, copy, n));
+  };
+  uint32_t best = 0;
+  bool have_best = false;
+  for (uint32_t n = 0; n < topology.num_nodes(); ++n) {
+    if (!dead.empty() && dead[n]) continue;
+    if (!have_best || score(n) > score(best)) {
+      best = n;
+      have_best = true;
+    }
+  }
+  return best;
 }
 
 }  // namespace
@@ -261,41 +296,18 @@ Result<PlacementMap> PlacementMap::Build(
       }
       break;
     case PlacementPolicy::kZoneAware: {
-      // Greedy per (disk, copy): prefer a new zone, then a new rack, then
-      // a new node, then the node with the lightest replica load, with a
-      // seeded hash as the final deterministic tie-break. Load starts at
-      // each node's primary-disk count so replicas also level out.
+      // Greedy per (disk, copy) under the zone_aware ranking. Load starts
+      // at each node's primary-disk count so replicas also level out.
       std::vector<uint64_t> load(num_nodes, 0);
       for (uint32_t node : disk_node) ++load[node];
       for (uint32_t c = 1; c < max_copies; ++c) {
         for (uint32_t d = 0; d < num_disks; ++d) {
-          std::set<uint32_t> used_nodes, used_racks, used_zones;
+          std::vector<uint32_t> holders;
           for (uint32_t prev = 0; prev < c; ++prev) {
-            const uint32_t node = map.node_of_[prev][d];
-            used_nodes.insert(node);
-            used_racks.insert(spec.topology.rack_of(node));
-            used_zones.insert(spec.topology.zone_of(node));
+            holders.push_back(map.node_of_[prev][d]);
           }
-          uint32_t best = 0;
-          bool have_best = false;
-          auto score = [&](uint32_t n) {
-            const uint64_t zone_new =
-                used_zones.count(spec.topology.zone_of(n)) == 0 ? 1 : 0;
-            const uint64_t rack_new =
-                used_racks.count(spec.topology.rack_of(n)) == 0 ? 1 : 0;
-            const uint64_t node_new = used_nodes.count(n) == 0 ? 1 : 0;
-            return std::make_tuple(zone_new, rack_new, node_new, ~load[n],
-                                   Mix64(spec.seed ^
-                                         (static_cast<uint64_t>(d) << 32) ^
-                                         (static_cast<uint64_t>(c) << 20) ^
-                                         n));
-          };
-          for (uint32_t n = 0; n < num_nodes; ++n) {
-            if (!have_best || score(n) > score(best)) {
-              best = n;
-              have_best = true;
-            }
-          }
+          const uint32_t best = ZoneAwarePick(spec.topology, holders, load,
+                                              {}, spec.seed, d, c);
           map.node_of_[c][d] = best;
           ++load[best];
         }
@@ -332,6 +344,122 @@ uint32_t PlacementMap::DistinctNodes(uint32_t disk, uint32_t copies) const {
     nodes.insert(node_of_[c][disk]);
   }
   return static_cast<uint32_t>(nodes.size());
+}
+
+Result<RepairPlan> PlanRepair(const RepairPlanInput& input) {
+  GRIDDECL_RETURN_IF_ERROR(input.topology.Validate());
+  if (input.table.empty() || input.table[0].empty()) {
+    return Status::InvalidArgument("repair plan needs a placement table");
+  }
+  const Topology& topology = input.topology;
+  const uint32_t num_nodes = topology.num_nodes();
+  const uint32_t copies = static_cast<uint32_t>(input.table.size());
+  const uint32_t num_disks = static_cast<uint32_t>(input.table[0].size());
+  for (const std::vector<uint32_t>& row : input.table) {
+    if (row.size() != num_disks) {
+      return Status::InvalidArgument("repair plan table is ragged");
+    }
+    for (uint32_t node : row) {
+      if (node >= num_nodes) {
+        return Status::InvalidArgument(
+            "repair plan table names an unknown node");
+      }
+    }
+  }
+  std::vector<bool> dead(num_nodes, false);
+  for (uint32_t n : input.dead_nodes) {
+    if (n >= num_nodes) {
+      return Status::InvalidArgument("dead node id out of range");
+    }
+    dead[n] = true;
+  }
+  std::set<uint32_t> live_zones;
+  for (uint32_t n = 0; n < num_nodes; ++n) {
+    if (!dead[n]) live_zones.insert(topology.zone_of(n));
+  }
+  if (live_zones.empty()) {
+    return Status::InvalidArgument("repair plan has no live nodes");
+  }
+
+  RepairPlan plan;
+  plan.new_table = input.table;
+  // Replica load per live node — the balancing signal for re-targets
+  // (dead entries are about to move anyway).
+  std::vector<uint64_t> load(num_nodes, 0);
+  for (const std::vector<uint32_t>& row : input.table) {
+    for (uint32_t node : row) {
+      if (!dead[node]) ++load[node];
+    }
+  }
+
+  // Pass 1: evacuate dead assignments, each ranked against the other
+  // live-assigned copies of its disk in the evolving new table.
+  std::vector<bool> unrecoverable(num_disks, false);
+  for (uint32_t d = 0; d < num_disks; ++d) {
+    bool any_live = false;
+    for (uint32_t c = 0; c < copies; ++c) {
+      if (!dead[input.table[c][d]]) any_live = true;
+    }
+    if (!any_live) {
+      unrecoverable[d] = true;
+      plan.unrecoverable_disks.push_back(d);
+      continue;
+    }
+    for (uint32_t c = 0; c < copies; ++c) {
+      const uint32_t from = plan.new_table[c][d];
+      if (!dead[from]) continue;
+      std::vector<uint32_t> holders;
+      for (uint32_t c2 = 0; c2 < copies; ++c2) {
+        const uint32_t node = plan.new_table[c2][d];
+        if (c2 != c && !dead[node]) holders.push_back(node);
+      }
+      const uint32_t to =
+          ZoneAwarePick(topology, holders, load, dead, input.seed, d, c);
+      plan.new_table[c][d] = to;
+      ++load[to];
+      plan.actions.push_back(RepairAction{d, c, from, to});
+    }
+  }
+
+  // Pass 2: placement violations. Move the first copy that duplicates an
+  // earlier copy's zone to the lightest live node of an uncovered zone.
+  const uint32_t target_zones =
+      std::min<uint32_t>(copies, static_cast<uint32_t>(live_zones.size()));
+  for (uint32_t d = 0; d < num_disks; ++d) {
+    if (unrecoverable[d]) continue;
+    for (uint32_t c = 1; c < copies; ++c) {
+      std::set<uint32_t> zones;
+      for (uint32_t c2 = 0; c2 < copies; ++c2) {
+        zones.insert(topology.zone_of(plan.new_table[c2][d]));
+      }
+      if (zones.size() >= target_zones) break;
+      const uint32_t zc = topology.zone_of(plan.new_table[c][d]);
+      bool duplicate = false;
+      for (uint32_t c2 = 0; c2 < c; ++c2) {
+        if (topology.zone_of(plan.new_table[c2][d]) == zc) duplicate = true;
+      }
+      if (!duplicate) continue;
+      uint32_t best = 0;
+      bool have_best = false;
+      for (uint32_t n = 0; n < num_nodes; ++n) {
+        if (dead[n] || zones.count(topology.zone_of(n)) != 0) continue;
+        if (!have_best ||
+            std::make_tuple(~load[n], TieBreak(input.seed, d, c, n)) >
+                std::make_tuple(~load[best],
+                                TieBreak(input.seed, d, c, best))) {
+          best = n;
+          have_best = true;
+        }
+      }
+      if (!have_best) continue;
+      const uint32_t from = plan.new_table[c][d];
+      if (load[from] > 0) --load[from];
+      plan.new_table[c][d] = best;
+      ++load[best];
+      plan.actions.push_back(RepairAction{d, c, from, best});
+    }
+  }
+  return plan;
 }
 
 }  // namespace griddecl::cluster

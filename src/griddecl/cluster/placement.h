@@ -37,7 +37,12 @@
 /// The chosen policy + topology + seed are persisted in the catalog
 /// manifest (`ManifestPlacement`, manifest.h) so serve/cluster/fsck all
 /// agree on where copies live; a manifest without the record implies
-/// chained (exactly PR 7's behavior).
+/// chained (the behavior before placement was recorded).
+///
+/// `PlanRepair` re-places around dead or removed nodes with the same
+/// zone_aware ranking. It is pure, so the cluster's repair and the
+/// availability simulator's repair-aware sweep (sim/availability.h) share
+/// it without the simulator depending on the cluster.
 
 namespace griddecl::cluster {
 
@@ -155,6 +160,51 @@ class PlacementMap {
   /// node_of_[copy][disk] = node. node_of_[0] == disk_node.
   std::vector<std::vector<uint32_t>> node_of_;
 };
+
+/// One replica re-target: copy `copy` of primary disk `disk` moves from
+/// `from_node` (dead, removed, or zone-violating) to `to_node` (live).
+struct RepairAction {
+  uint32_t disk = 0;
+  uint32_t copy = 0;
+  uint32_t from_node = 0;
+  uint32_t to_node = 0;
+};
+
+struct RepairPlanInput {
+  /// Current placement: table[copy][disk] = node (PlacementMap::Table()).
+  std::vector<std::vector<uint32_t>> table;
+  Topology topology;
+  /// Nodes to plan around (detector-dead plus removed), ids ascending.
+  std::vector<uint32_t> dead_nodes;
+  /// Deterministic tie-break seed (the placement spec's seed).
+  uint64_t seed = 0;
+};
+
+struct RepairPlan {
+  std::vector<RepairAction> actions;
+  /// The repaired table: input.table with every action applied.
+  std::vector<std::vector<uint32_t>> new_table;
+  /// Disks whose every replica was on a dead node — lost data; the
+  /// cluster refuses to commit a plan with any of these.
+  std::vector<uint32_t> unrecoverable_disks;
+
+  bool healthy() const {
+    return actions.empty() && unrecoverable_disks.empty();
+  }
+};
+
+/// The minimal re-target actions for a placement that lost `dead_nodes`.
+/// Pass 1 moves every replica assignment on a dead node to the best live
+/// node under the zone_aware ranking (new zone > new rack > new node >
+/// lightest load > seeded hash). Pass 2 fixes placement violations that
+/// survive pass 1: a disk whose replicas cover fewer distinct zones than
+/// min(copies, live zones) — e.g. after an add-node opened a zone — moves
+/// its first zone-duplicating copy into an uncovered zone. A disk with no
+/// live replica is unrecoverable (data loss): reported, its row left
+/// untouched, never silently dropped. A pure function of its input;
+/// errors on malformed input (ragged table, unknown nodes, every node
+/// dead).
+Result<RepairPlan> PlanRepair(const RepairPlanInput& input);
 
 }  // namespace griddecl::cluster
 

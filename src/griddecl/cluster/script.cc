@@ -3,182 +3,107 @@
 #include <cstdlib>
 #include <utility>
 
+#include "griddecl/serve/script.h"
+
 namespace griddecl::cluster {
 
 namespace {
 
-/// Splits `text` on whitespace runs.
-std::vector<std::string> Tokens(std::string_view text) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
-  }
-  return tokens;
-}
+using Kind = ClusterCommand::Kind;
 
-Status ParseDoubles(const std::string& list, size_t line_no,
-                    std::vector<double>* out) {
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string piece = list.substr(pos, comma - pos);
-    char* end = nullptr;
-    const double v = std::strtod(piece.c_str(), &end);
-    if (piece.empty() || end != piece.c_str() + piece.size()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad number '" + piece + "'");
-    }
-    out->push_back(v);
-    pos = comma + 1;
-  }
-  return Status::Ok();
-}
+/// One control directive: its name, kind, argument-count range, and the
+/// usage line its arity errors quote.
+struct Directive {
+  const char* name;
+  Kind kind;
+  size_t min_args;
+  size_t max_args;
+  const char* usage;
+};
 
-Result<uint32_t> ParseU32(const std::string& token, size_t line_no,
-                          const char* what) {
+constexpr Directive kDirectives[] = {
+    {"kill-node", Kind::kKillNode, 1, 1, "kill-node <node>"},
+    {"revive-node", Kind::kReviveNode, 1, 1, "revive-node <node>"},
+    {"kill-zone", Kind::kKillZone, 1, 1, "kill-zone <zone>"},
+    {"revive-zone", Kind::kReviveZone, 1, 1, "revive-zone <zone>"},
+    {"advance-ms", Kind::kAdvance, 1, 1, "advance-ms <ms>"},
+    {"migrate", Kind::kMigrate, 2, 2, "migrate <method> <num_disks>"},
+    {"repair", Kind::kRepair, 0, 1, "repair [bytes_per_sec]"},
+    {"add-node", Kind::kAddNode, 2, 2, "add-node <rack> <zone>"},
+    {"remove-node", Kind::kRemoveNode, 1, 1, "remove-node <node>"},
+};
+
+Status ParseU32(const serve::ScriptLine& line, size_t index, const char* what,
+                uint32_t* out) {
+  const std::string& token = line.tokens[index];
   char* end = nullptr;
   const unsigned long v = std::strtoul(token.c_str(), &end, 10);
   if (token.empty() || end != token.c_str() + token.size() ||
       v > 0xffffffffUL) {
-    return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                   ": bad " + what + " '" + token + "'");
+    return serve::ScriptError(
+        line, std::string("bad ") + what + " '" + token + "'");
   }
-  return static_cast<uint32_t>(v);
+  *out = static_cast<uint32_t>(v);
+  return Status::Ok();
+}
+
+/// Fills `cmd` from a control directive line whose arity is checked.
+Status ParseArgs(const serve::ScriptLine& line, ClusterCommand* cmd) {
+  switch (cmd->kind) {
+    case Kind::kKillNode:
+    case Kind::kReviveNode:
+    case Kind::kRemoveNode:
+      return ParseU32(line, 1, "node", &cmd->node);
+    case Kind::kKillZone:
+    case Kind::kReviveZone:
+      return ParseU32(line, 1, "zone", &cmd->zone);
+    case Kind::kAdvance:
+      return serve::ParseScriptNumber(line, 1, "time", /*positive=*/false,
+                                      &cmd->advance_ms);
+    case Kind::kMigrate:
+      cmd->migrate_method = line.tokens[1];
+      return ParseU32(line, 2, "disk count", &cmd->migrate_disks);
+    case Kind::kRepair:
+      if (line.tokens.size() == 1) return Status::Ok();
+      return serve::ParseScriptNumber(line, 1, "rate", /*positive=*/false,
+                                      &cmd->repair_bytes_per_sec);
+    case Kind::kAddNode:
+      GRIDDECL_RETURN_IF_ERROR(ParseU32(line, 1, "rack", &cmd->add_rack));
+      return ParseU32(line, 2, "zone", &cmd->add_zone);
+    case Kind::kQuery:
+      break;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
 Result<std::vector<ClusterCommand>> ParseClusterScript(std::string_view text) {
   std::vector<ClusterCommand> commands;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    const std::vector<std::string> tokens = Tokens(line);
-    if (tokens.empty() || tokens[0][0] == '#') continue;
+  for (const serve::ScriptLine& line : serve::SplitScript(text)) {
+    const std::string& name = line.tokens[0];
     ClusterCommand cmd;
-    if (tokens[0] == "query") {
-      if (tokens.size() < 4 || tokens.size() > 5) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) +
-            ": expected 'query <relation> <lo,..> <hi,..> [deadline_ms]'");
-      }
-      cmd.kind = ClusterCommand::Kind::kQuery;
-      cmd.query.relation = tokens[1];
-      GRIDDECL_RETURN_IF_ERROR(ParseDoubles(tokens[2], line_no, &cmd.query.lo));
-      GRIDDECL_RETURN_IF_ERROR(ParseDoubles(tokens[3], line_no, &cmd.query.hi));
-      if (cmd.query.lo.size() != cmd.query.hi.size()) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) + ": lo has " +
-            std::to_string(cmd.query.lo.size()) + " attributes but hi has " +
-            std::to_string(cmd.query.hi.size()));
-      }
-      if (tokens.size() == 5) {
-        char* end = nullptr;
-        cmd.query.deadline_ms = std::strtod(tokens[4].c_str(), &end);
-        if (end != tokens[4].c_str() + tokens[4].size() ||
-            !(cmd.query.deadline_ms > 0.0)) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": bad deadline '" + tokens[4] + "'");
-        }
-      }
-    } else if (tokens[0] == "kill-node" || tokens[0] == "revive-node") {
-      if (tokens.size() != 2) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected '" + tokens[0] +
-                                       " <node>'");
-      }
-      auto node = ParseU32(tokens[1], line_no, "node");
-      if (!node.ok()) return node.status();
-      cmd.kind = tokens[0] == "kill-node" ? ClusterCommand::Kind::kKillNode
-                                          : ClusterCommand::Kind::kReviveNode;
-      cmd.node = node.value();
-    } else if (tokens[0] == "kill-zone" || tokens[0] == "revive-zone") {
-      if (tokens.size() != 2) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected '" + tokens[0] +
-                                       " <zone>'");
-      }
-      auto zone = ParseU32(tokens[1], line_no, "zone");
-      if (!zone.ok()) return zone.status();
-      cmd.kind = tokens[0] == "kill-zone" ? ClusterCommand::Kind::kKillZone
-                                          : ClusterCommand::Kind::kReviveZone;
-      cmd.zone = zone.value();
-    } else if (tokens[0] == "advance-ms") {
-      if (tokens.size() != 2) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected 'advance-ms <ms>'");
-      }
-      char* end = nullptr;
-      cmd.advance_ms = std::strtod(tokens[1].c_str(), &end);
-      if (end != tokens[1].c_str() + tokens[1].size() ||
-          cmd.advance_ms < 0.0) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": bad time '" + tokens[1] + "'");
-      }
-      cmd.kind = ClusterCommand::Kind::kAdvance;
-    } else if (tokens[0] == "migrate") {
-      if (tokens.size() != 3) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) +
-            ": expected 'migrate <method> <num_disks>'");
-      }
-      auto disks = ParseU32(tokens[2], line_no, "disk count");
-      if (!disks.ok()) return disks.status();
-      cmd.kind = ClusterCommand::Kind::kMigrate;
-      cmd.migrate_method = tokens[1];
-      cmd.migrate_disks = disks.value();
-    } else if (tokens[0] == "repair") {
-      if (tokens.size() > 2) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected 'repair [bytes_per_sec]'");
-      }
-      cmd.kind = ClusterCommand::Kind::kRepair;
-      if (tokens.size() == 2) {
-        char* end = nullptr;
-        cmd.repair_bytes_per_sec = std::strtod(tokens[1].c_str(), &end);
-        if (end != tokens[1].c_str() + tokens[1].size() ||
-            cmd.repair_bytes_per_sec < 0.0) {
-          return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                         ": bad rate '" + tokens[1] + "'");
-        }
-      }
-    } else if (tokens[0] == "add-node") {
-      if (tokens.size() != 3) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected 'add-node <rack> <zone>'");
-      }
-      auto rack = ParseU32(tokens[1], line_no, "rack");
-      if (!rack.ok()) return rack.status();
-      auto zone = ParseU32(tokens[2], line_no, "zone");
-      if (!zone.ok()) return zone.status();
-      cmd.kind = ClusterCommand::Kind::kAddNode;
-      cmd.add_rack = rack.value();
-      cmd.add_zone = zone.value();
-    } else if (tokens[0] == "remove-node") {
-      if (tokens.size() != 2) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected 'remove-node <node>'");
-      }
-      auto node = ParseU32(tokens[1], line_no, "node");
-      if (!node.ok()) return node.status();
-      cmd.kind = ClusterCommand::Kind::kRemoveNode;
-      cmd.node = node.value();
-    } else {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown directive '" + tokens[0] +
-                                     "'");
+    if (name == "query") {
+      auto query = serve::ParseQueryLine(line);
+      if (!query.ok()) return query.status();
+      cmd.query = std::move(query).value();
+      commands.push_back(std::move(cmd));
+      continue;
     }
+    const Directive* directive = nullptr;
+    for (const Directive& d : kDirectives) {
+      if (name == d.name) directive = &d;
+    }
+    if (directive == nullptr) {
+      return serve::ScriptError(line, "unknown directive '" + name + "'");
+    }
+    const size_t args = line.tokens.size() - 1;
+    if (args < directive->min_args || args > directive->max_args) {
+      return serve::ScriptError(
+          line, std::string("expected '") + directive->usage + "'");
+    }
+    cmd.kind = directive->kind;
+    GRIDDECL_RETURN_IF_ERROR(ParseArgs(line, &cmd));
     commands.push_back(std::move(cmd));
   }
   return commands;

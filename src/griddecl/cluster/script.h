@@ -11,7 +11,9 @@
 
 /// \file
 /// Text format for driving `declctl cluster`: the serve script's query
-/// lines plus cluster control directives, executed strictly in file order.
+/// lines (parsed by serve/script.h's query-line parser) plus cluster
+/// control directives from one directive table, executed strictly in file
+/// order.
 ///
 ///     query <relation> <lo1,..> <hi1,..> [deadline_ms]
 ///     kill-node <node>

@@ -2,20 +2,9 @@
 
 #include <algorithm>
 
+#include "griddecl/common/random.h"
+
 namespace griddecl {
-
-namespace {
-
-/// SplitMix64 finalizer — the same mixing the fault model and crash env
-/// use, so every deterministic draw in the repo shares one audited hash.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 Status ValidateBackoffPolicy(const BackoffPolicy& policy) {
   if (!(policy.base_ms >= 0.0)) {

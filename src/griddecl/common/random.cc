@@ -8,21 +8,15 @@ namespace griddecl {
 
 namespace {
 
-// SplitMix64: expands a single seed into well-mixed state words.
-uint64_t SplitMix64(uint64_t* x) {
-  uint64_t z = (*x += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& word : state_) word = SplitMix64(&sm);
+  // SplitMix64 expands the seed into well-mixed state words.
+  for (uint64_t k = 0; k < 4; ++k) {
+    state_[k] = Mix64(seed + k * 0x9e3779b97f4a7c15ULL);
+  }
   // All-zero state would be a fixed point; SplitMix64 cannot produce four
   // zero outputs in a row, but keep the guard explicit.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;

@@ -16,6 +16,17 @@
 
 namespace griddecl {
 
+/// SplitMix64 finalizer: the repo's one deterministic hash. Backoff
+/// jitter, fault schedules, crash tears, placement tie-breaks and hedge
+/// jitter all draw from it, so every seeded decision is a pure function
+/// of its inputs.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** PRNG with rejection-sampled bounded draws.
 ///
 /// Not cryptographically secure; statistical quality is more than adequate

@@ -108,9 +108,10 @@ class FaultyEnv : public StorageEnv {
 
   /// Additional real wall-clock delay on every ReadAt, on top of
   /// `latency_ms`, adjustable at runtime (negative values clamp to 0).
-  /// Models transient device contention — the migrator raises it on every
-  /// node while an unpaced bulk copy saturates the shared "device", and
-  /// drops it back when the copy finishes or is paced under budget.
+  /// Models transient device contention — the cluster's transition
+  /// engine raises it on every target node while an unpaced bulk copy
+  /// saturates the shared "device", and drops it back when the copy
+  /// finishes or is paced under budget.
   void SetExtraLatencyMs(double ms) {
     extra_latency_ms_.store(ms < 0.0 ? 0.0 : ms);
   }

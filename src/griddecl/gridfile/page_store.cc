@@ -6,17 +6,11 @@
 #include <utility>
 
 #include "griddecl/common/backoff.h"
+#include "griddecl/common/random.h"
 
 namespace griddecl {
 
 namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashString(uint64_t h, const std::string& s) {
   for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));

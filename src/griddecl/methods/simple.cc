@@ -1,5 +1,7 @@
 #include "griddecl/methods/simple.h"
 
+#include "griddecl/common/random.h"
+
 namespace griddecl {
 
 Result<std::unique_ptr<DeclusteringMethod>> LinearMethod::Create(
@@ -21,14 +23,10 @@ Result<std::unique_ptr<DeclusteringMethod>> RandomMethod::Create(
 }
 
 uint32_t RandomMethod::DiskOf(const BucketCoords& c) const {
-  // Stateless SplitMix64-style finalizer over (seed, linear index): the same
+  // Stateless SplitMix64 finalizer over (seed, linear index): the same
   // bucket always maps to the same disk, distinct buckets are i.i.d. uniform
   // to the quality of the mixer.
-  uint64_t z = grid_.Linearize(c) + seed_ * 0x9e3779b97f4a7c15ULL +
-               0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
+  const uint64_t z = Mix64(grid_.Linearize(c) + seed_ * 0x9e3779b97f4a7c15ULL);
   return static_cast<uint32_t>(z % num_disks_);
 }
 

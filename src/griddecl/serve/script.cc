@@ -1,27 +1,15 @@
 #include "griddecl/serve/script.h"
 
 #include <cstdlib>
-#include <string>
+#include <utility>
 
 namespace griddecl::serve {
 
 namespace {
 
-/// Splits `text` on whitespace runs.
-std::vector<std::string> Tokens(std::string_view text) {
-  std::vector<std::string> tokens;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-    size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t') ++i;
-    if (i > start) tokens.emplace_back(text.substr(start, i - start));
-  }
-  return tokens;
-}
-
-Status ParseDoubles(const std::string& list, size_t line_no,
-                    std::vector<double>* out) {
+/// Parses a comma-separated number list ("0.1,0.2") into `*out`.
+Status ParseNumberList(const ScriptLine& line, const std::string& list,
+                       std::vector<double>* out) {
   size_t pos = 0;
   while (pos <= list.size()) {
     size_t comma = list.find(',', pos);
@@ -30,8 +18,7 @@ Status ParseDoubles(const std::string& list, size_t line_no,
     char* end = nullptr;
     const double v = std::strtod(piece.c_str(), &end);
     if (piece.empty() || end != piece.c_str() + piece.size()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad number '" + piece + "'");
+      return ScriptError(line, "bad number '" + piece + "'");
     }
     out->push_back(v);
     pos = comma + 1;
@@ -41,51 +28,81 @@ Status ParseDoubles(const std::string& list, size_t line_no,
 
 }  // namespace
 
-Result<std::vector<QueryRequest>> ParseServeScript(std::string_view text) {
-  std::vector<QueryRequest> requests;
-  size_t line_no = 0;
+std::vector<ScriptLine> SplitScript(std::string_view text) {
+  std::vector<ScriptLine> lines;
+  size_t number = 0;
   size_t pos = 0;
   while (pos <= text.size()) {
     size_t eol = text.find('\n', pos);
     if (eol == std::string_view::npos) eol = text.size();
     std::string_view line = text.substr(pos, eol - pos);
     pos = eol + 1;
-    ++line_no;
+    ++number;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    const std::vector<std::string> tokens = Tokens(line);
-    if (tokens.empty() || tokens[0][0] == '#') continue;
-    if (tokens[0] != "query") {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": unknown directive '" + tokens[0] +
-                                     "' (expected 'query')");
+    ScriptLine out;
+    out.number = number;
+    size_t i = 0;
+    while (i < line.size()) {
+      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+      const size_t start = i;
+      while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+      if (i > start) out.tokens.emplace_back(line.substr(start, i - start));
     }
-    if (tokens.size() < 4 || tokens.size() > 5) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_no) +
-          ": expected 'query <relation> <lo,..> <hi,..> [deadline_ms]'");
+    if (out.tokens.empty() || out.tokens[0][0] == '#') continue;
+    lines.push_back(std::move(out));
+  }
+  return lines;
+}
+
+Status ScriptError(const ScriptLine& line, const std::string& what) {
+  return Status::InvalidArgument("line " + std::to_string(line.number) +
+                                 ": " + what);
+}
+
+Status ParseScriptNumber(const ScriptLine& line, size_t index,
+                         const char* what, bool positive, double* out) {
+  const std::string& token = line.tokens[index];
+  char* end = nullptr;
+  *out = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() ||
+      !(positive ? *out > 0.0 : *out >= 0.0)) {
+    return ScriptError(line, std::string("bad ") + what + " '" + token + "'");
+  }
+  return Status::Ok();
+}
+
+Result<QueryRequest> ParseQueryLine(const ScriptLine& line) {
+  const std::vector<std::string>& tokens = line.tokens;
+  if (tokens.size() < 4 || tokens.size() > 5) {
+    return ScriptError(
+        line, "expected 'query <relation> <lo,..> <hi,..> [deadline_ms]'");
+  }
+  QueryRequest req;
+  req.relation = tokens[1];
+  GRIDDECL_RETURN_IF_ERROR(ParseNumberList(line, tokens[2], &req.lo));
+  GRIDDECL_RETURN_IF_ERROR(ParseNumberList(line, tokens[3], &req.hi));
+  if (req.lo.size() != req.hi.size()) {
+    return ScriptError(line, "lo has " + std::to_string(req.lo.size()) +
+                                 " attributes but hi has " +
+                                 std::to_string(req.hi.size()));
+  }
+  if (tokens.size() == 5) {
+    GRIDDECL_RETURN_IF_ERROR(ParseScriptNumber(
+        line, 4, "deadline", /*positive=*/true, &req.deadline_ms));
+  }
+  return req;
+}
+
+Result<std::vector<QueryRequest>> ParseServeScript(std::string_view text) {
+  std::vector<QueryRequest> requests;
+  for (const ScriptLine& line : SplitScript(text)) {
+    if (line.tokens[0] != "query") {
+      return ScriptError(line, "unknown directive '" + line.tokens[0] +
+                                   "' (expected 'query')");
     }
-    QueryRequest req;
-    req.relation = tokens[1];
-    Status st = ParseDoubles(tokens[2], line_no, &req.lo);
-    if (!st.ok()) return st;
-    st = ParseDoubles(tokens[3], line_no, &req.hi);
-    if (!st.ok()) return st;
-    if (req.lo.size() != req.hi.size()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_no) + ": lo has " +
-          std::to_string(req.lo.size()) + " attributes but hi has " +
-          std::to_string(req.hi.size()));
-    }
-    if (tokens.size() == 5) {
-      char* end = nullptr;
-      req.deadline_ms = std::strtod(tokens[4].c_str(), &end);
-      if (end != tokens[4].c_str() + tokens[4].size() ||
-          !(req.deadline_ms > 0.0)) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": bad deadline '" + tokens[4] + "'");
-      }
-    }
-    requests.push_back(std::move(req));
+    auto req = ParseQueryLine(line);
+    if (!req.ok()) return req.status();
+    requests.push_back(std::move(req).value());
   }
   return requests;
 }

@@ -5,7 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "griddecl/cluster/repair.h"
+#include "griddecl/cluster/placement.h"
 #include "griddecl/common/random.h"
 #include "griddecl/methods/registry.h"
 #include "griddecl/methods/replicated.h"

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "griddecl/cluster/migrator.h"
 #include "griddecl/cluster/script.h"
+#include "griddecl/cluster/transition.h"
 #include "griddecl/common/random.h"
 #include "griddecl/gridfile/catalog.h"
 #include "griddecl/gridfile/declustered_file.h"

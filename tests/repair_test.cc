@@ -1,4 +1,4 @@
-#include "griddecl/cluster/repair.h"
+#include "griddecl/cluster/cluster.h"
 
 #include <algorithm>
 #include <string>
@@ -520,6 +520,36 @@ TEST(RepairTest, AddNodeGrowsTheClusterAndRemoveNodeEvacuates) {
   cluster->SnapshotMetrics(&reg);
   EXPECT_EQ(reg.GetCounter("cluster.nodes_added")->value(), 1u);
   EXPECT_EQ(reg.GetCounter("cluster.nodes_removed")->value(), 1u);
+}
+
+TEST(RepairTest, MigrateAfterRemovingNodeZeroAndRepairCommits) {
+  // The repair commits generation 2 on the member nodes only, so the
+  // decommissioned node 0 never holds it: a later migration must read its
+  // source files and staged catalog from a member node.
+  MemEnv env;
+  const Catalog catalog = CommitWideCatalog(&env);
+  auto cluster = Cluster::Create(env, HealingOptions()).value();
+  ASSERT_TRUE(cluster->RemoveNode(0).ok());
+  const RepairReport repaired = cluster->Repair({}).value();
+  ASSERT_TRUE(repaired.committed) << repaired.abort_reason;
+  ASSERT_EQ(cluster->generation(), 2u);
+
+  MigrationOptions mo;
+  mo.new_method = "fx";
+  mo.new_num_disks = 8;
+  const MigrationReport migrated = cluster->Migrate(mo).value();
+  ASSERT_TRUE(migrated.committed) << migrated.abort_reason;
+  EXPECT_EQ(migrated.old_generation, 2u);
+  EXPECT_EQ(migrated.new_generation, 3u);
+  EXPECT_EQ(cluster->generation(), 3u);
+  for (const serve::QueryRequest& q :
+       {Range({0.0, 0.0}, {1.0, 1.0}), Range({0.1, 0.2}, {0.6, 0.9})}) {
+    const ClusterQueryResult r = cluster->Execute(q);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.generation, 3u);
+    EXPECT_EQ(r.matches, Direct(catalog, q));
+  }
 }
 
 TEST(RepairTest, AddNodeNeedsAFreeSlot) {
