@@ -46,7 +46,8 @@ for arg in "$@"; do
 done
 
 cmake -B "$build_dir" -S . ${configure_args+"${configure_args[@]}"}
-cmake --build "$build_dir" -j
-# test_args must precede the bare -j: ctest would otherwise consume the
-# following -R as -j's optional value and silently drop the filter.
-cd "$build_dir" && ctest --output-on-failure ${test_args+"${test_args[@]}"} -j
+jobs="$(nproc)"
+cmake --build "$build_dir" -j "$jobs"
+# test_args stay before -j: should -j ever lose its value, ctest would
+# consume the following -R as -j's optional value and drop the filter.
+cd "$build_dir" && ctest --output-on-failure ${test_args+"${test_args[@]}"} -j "$jobs"

@@ -879,9 +879,16 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       if (f.ok()) ++result.sub_queries;
       return f;
     };
+    // Sub-queries cover disjoint primary-disk sets and each returns its
+    // matches sorted, so merging at every route boundary keeps the
+    // gathered answer in global record-id order.
     auto take = [&](const serve::QueryResult& r) {
+      const auto boundary = static_cast<std::ptrdiff_t>(result.matches.size());
       result.matches.insert(result.matches.end(), r.matches.begin(),
                             r.matches.end());
+      std::inplace_merge(result.matches.begin(),
+                         result.matches.begin() + boundary,
+                         result.matches.end());
     };
     // The deterministic first-replica target: the node holding the next
     // alive copy of the route's first disk. Hedge and first failover both
@@ -1064,10 +1071,6 @@ ClusterQueryResult Cluster::ExecuteOnEpoch(const Epoch& epoch,
       result.winners.push_back('u');
     }
   }
-
-  // Merge: sub-queries cover disjoint primary-disk sets, so their match
-  // sets are disjoint; one sort restores global record-id order.
-  std::sort(result.matches.begin(), result.matches.end());
 
   if (result.buckets_touched > 0) {
     result.availability =

@@ -2,6 +2,7 @@
 #define GRIDDECL_COMMON_RANDOM_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 /// \file
@@ -25,6 +26,13 @@ inline uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
+}
+
+/// `Mix64` folded over the bytes of `s`, starting from `h`: how file
+/// names enter backoff site tokens and FaultyEnv fault schedules.
+inline uint64_t HashString(uint64_t h, std::string_view s) {
+  for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));
+  return h;
 }
 
 /// xoshiro256** PRNG with rejection-sampled bounded draws.

@@ -8,15 +8,6 @@
 
 namespace griddecl {
 
-namespace {
-
-uint64_t HashString(uint64_t h, const std::string& s) {
-  for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));
-  return h;
-}
-
-}  // namespace
-
 FaultyEnv::FaultyEnv(StorageEnv* target, FaultyEnvOptions opts)
     : target_(target), opts_(std::move(opts)) {}
 

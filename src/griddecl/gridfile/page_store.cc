@@ -12,11 +12,6 @@ namespace griddecl {
 
 namespace {
 
-uint64_t HashString(uint64_t h, const std::string& s) {
-  for (char c : s) h = Mix64(h ^ static_cast<uint8_t>(c));
-  return h;
-}
-
 /// Sleeps `delay_ms` in 5 ms slices, bailing as soon as `interrupt`
 /// reports non-Ok (the caller's loop re-checks and surfaces the status).
 void SleepInterruptible(double delay_ms, const InterruptFn& interrupt) {

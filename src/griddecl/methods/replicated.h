@@ -56,6 +56,15 @@ class ReplicatedPlacement {
   /// the primary (the base method's disk).
   std::vector<uint32_t> DisksOf(const BucketCoords& c) const;
 
+  /// Element `copy` of `DisksOf` for a bucket whose primary disk is
+  /// `primary`, without building the set: the table row or the offset
+  /// arithmetic. Requires primary < M and copy < num_replicas.
+  uint32_t DiskOfCopy(uint32_t primary, uint32_t copy) const {
+    if (!table_.empty()) return table_[primary][copy];
+    return static_cast<uint32_t>(
+        (primary + static_cast<uint64_t>(copy) * offset_) % num_disks());
+  }
+
   /// Storage blow-up per disk: each disk holds `num_replicas` x its
   /// unreplicated share (loads returned in buckets, including replicas).
   std::vector<uint64_t> DiskLoadHistogram() const;

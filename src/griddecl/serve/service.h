@@ -80,8 +80,20 @@
 ///
 /// Record payloads returned by a query are always decoded from the page
 /// bytes read through the env — the in-memory catalog is used only for
-/// schema, partitioning, and the bucket -> pages index — so a query's
-/// matches genuinely travelled the storage path under test.
+/// schema, partitioning, the bucket -> pages index and the per-page slot
+/// runs — so a query's matches genuinely travelled the storage path under
+/// test.
+///
+/// ## Page-granular serving
+///
+/// Loading a relation records, for every page, its slot runs: maximal
+/// slot ranges whose records share one bucket (a bucket-clustered page is
+/// one run; a page that mixes buckets has several). A query plans into
+/// per-worker scratch — a bucket-indexed (disk, copy) assignment and a
+/// sorted (disk, copy, page) read list — and the filter runs only over
+/// the runs whose bucket the reading (disk, copy) owns. No record's bucket is
+/// recomputed while serving, and because runs are disjoint id intervals
+/// the answer is ordered by sorting the emitted runs, not the ids.
 ///
 /// ## Determinism contract
 ///
@@ -228,6 +240,14 @@ class QueryService {
   std::vector<std::string> RelationNames() const;
 
  private:
+  /// Consecutive slots [slot_begin, slot_end) of one page whose records
+  /// all lie in grid-linear bucket `bucket`.
+  struct SlotRun {
+    uint32_t slot_begin = 0;
+    uint32_t slot_end = 0;
+    uint64_t bucket = 0;
+  };
+
   /// Everything needed to serve one relation, immutable after Create.
   struct Relation {
     std::string name;
@@ -247,6 +267,50 @@ class QueryService {
     std::string parity_file;  ///< Empty unless kParity.
     /// Grid-linear bucket -> sorted distinct pages holding its records.
     std::vector<std::vector<uint64_t>> bucket_pages;
+    /// Per-page slot runs in CSR form: page p's runs, in slot order, are
+    /// runs[run_begin[p], run_begin[p + 1]).
+    std::vector<uint64_t> run_begin;
+    std::vector<SlotRun> runs;
+  };
+
+  /// Planning and filter scratch one worker reuses across its queries, so
+  /// a query plans without allocating once the vectors have grown.
+  struct QueryScratch {
+    static constexpr uint32_t kUnplanned = ~uint32_t{0};
+    /// Which (disk, copy) serves a bucket; disk == kUnplanned when the
+    /// query does not read it.
+    struct Assign {
+      uint32_t disk = kUnplanned;
+      uint32_t copy = 0;
+      bool reconstruct = false;
+    };
+    struct PageRead {
+      uint32_t disk = 0;
+      uint32_t copy = 0;
+      uint64_t page = 0;
+      bool reconstruct = false;
+    };
+    /// Matches [begin, end) of `matches`, all at or above record id
+    /// `first`, which one page run produced.
+    struct EmittedRun {
+      RecordId first = 0;
+      size_t begin = 0;
+      size_t end = 0;
+    };
+    /// Indexed by grid-linear bucket; only `planned` entries are set.
+    std::vector<Assign> assign;
+    std::vector<uint64_t> planned;
+    /// Sorted by (disk, copy, page), one entry per triple.
+    std::vector<PageRead> reads;
+    /// Per disk: allowed by the request filter, touched by the primary
+    /// sweep, refused by its breaker.
+    std::vector<uint8_t> allowed;
+    std::vector<uint8_t> touched;
+    std::vector<bool> refused;
+    std::vector<uint8_t> mask;
+    /// Matches in read order, and the runs that emitted them.
+    std::vector<RecordId> matches;
+    std::vector<EmittedRun> emitted;
   };
 
   struct Pending {
@@ -268,7 +332,7 @@ class QueryService {
   double NowMs() const;
 
   void WorkerLoop(uint32_t worker_id);
-  QueryResult RunQuery(const Pending& p);
+  QueryResult RunQuery(const Pending& p, QueryScratch& scratch);
 
   /// One page serving the query: direct pooled read when `try_direct`,
   /// then the relation's degraded path (mirror failover / parity
@@ -339,6 +403,8 @@ class QueryService {
   uint64_t generation_fenced_ = 0;
   obs::Histogram latency_ms_;
 
+  /// One per worker, indexed by WorkerLoop's worker id.
+  std::vector<QueryScratch> scratch_;
   std::vector<std::thread> workers_;
 };
 

@@ -113,5 +113,14 @@ TEST(RngTest, PermutationShuffles) {
   EXPECT_NE(a, b);
 }
 
+TEST(HashStringTest, PinnedOnAFixedName) {
+  // Backoff site tokens and FaultyEnv schedules hash file names through
+  // this; a changed value would reshuffle every seeded fault replay.
+  EXPECT_EQ(HashString(Mix64(0x5e7e5e7eull), "relation-0.data"),
+            0x69bfcbbe8ceef602ull);
+  EXPECT_EQ(HashString(42, ""), 42u);
+  EXPECT_NE(HashString(0, "ab"), HashString(0, "ba"));
+}
+
 }  // namespace
 }  // namespace griddecl

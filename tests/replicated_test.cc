@@ -242,6 +242,34 @@ TEST(ReplicatedPlacementTest, TableDrivenPlacementOverridesArithmetic) {
   EXPECT_EQ(total, 2 * grid.num_buckets());
 }
 
+TEST(ReplicatedPlacementTest, DiskOfCopyMatchesDisksOf) {
+  // The serving hot path picks replica disks with DiskOfCopy; it must
+  // agree with DisksOf under chained (offset 1), interleaved (offset M/r)
+  // and table-driven placements.
+  const GridSpec grid = GridSpec::Create({8, 8}).value();
+  std::vector<ReplicatedPlacement> placements;
+  placements.push_back(
+      ReplicatedPlacement::Create(CreateMethod("hcam", grid, 8).value(), 3, 1)
+          .value());
+  placements.push_back(
+      ReplicatedPlacement::Create(CreateMethod("fx", grid, 8).value(), 2, 4)
+          .value());
+  placements.push_back(ReplicatedPlacement::CreateWithTable(
+                           CreateMethod("dm", grid, 4).value(),
+                           {{0, 2, 1}, {1, 3, 0}, {2, 0, 3}, {3, 1, 2}})
+                           .value());
+  for (const ReplicatedPlacement& p : placements) {
+    grid.ForEachBucket([&](const BucketCoords& c) {
+      const std::vector<uint32_t> disks = p.DisksOf(c);
+      const uint32_t primary = p.base().DiskOf(c);
+      for (uint32_t copy = 0; copy < p.num_replicas(); ++copy) {
+        EXPECT_EQ(p.DiskOfCopy(primary, copy), disks[copy])
+            << "offset " << p.offset() << " copy " << copy;
+      }
+    });
+  }
+}
+
 TEST(ReplicatedPlacementTest, TableValidation) {
   const GridSpec grid = GridSpec::Create({8, 8}).value();
   auto make = [&] { return CreateMethod("dm", grid, 4).value(); };

@@ -4,6 +4,7 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -484,6 +485,116 @@ TEST(DiskFaultScheduleTest, RejectsNonClusteredLayouts) {
   ASSERT_TRUE(SaveCatalogManifest(catalog, &env, options).ok());
   EXPECT_EQ(DiskFaultSchedule(env, "dm", 0).status().code(),
             StatusCode::kUnsupported);
+}
+
+TEST(QueryServiceTest, UnclusteredCatalogServesEveryPathExactly) {
+  // Records inserted in random order: each 8-record page mixes buckets of
+  // several disks, so a page is read by more than one (disk, copy) and
+  // each serves only its own slot runs. Every path must still return the
+  // catalog's answer exactly, strictly ascending.
+  MemEnv env;
+  Schema schema = Schema::Create({{"x", 0.0, 1.0}, {"y", 0.0, 1.0}}).value();
+  GridFile f = GridFile::Create(std::move(schema), {4, 4}).value();
+  Rng rng(11);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_TRUE(f.Insert({rng.NextDouble(), rng.NextDouble()}).ok());
+  }
+  Catalog catalog(4);
+  ASSERT_TRUE(
+      catalog
+          .AddRelation("dm",
+                       DeclusteredFile::Create(std::move(f), "dm", 4).value())
+          .ok());
+  ManifestSaveOptions save;
+  save.page_size_bytes = 168;
+  save.default_redundancy = Mirror2();
+  ASSERT_TRUE(SaveCatalogManifest(catalog, &env, save).ok());
+  const DeclusteredFile& rel = *catalog.Find("dm");
+
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> boxes = {
+      {{0.0, 0.0}, {1.0, 1.0}}, {{0.1, 0.3}, {0.7, 0.9}}};
+  for (int q = 0; q < 6; ++q) {
+    std::vector<double> lo(2), hi(2);
+    for (int d = 0; d < 2; ++d) {
+      const double a = rng.NextDouble();
+      const double b = rng.NextDouble();
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
+    }
+    boxes.emplace_back(lo, hi);
+  }
+  const auto expect_answer = [](const QueryResult& r,
+                                const std::vector<RecordId>& want,
+                                const std::string& what) {
+    ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.ToString();
+    EXPECT_EQ(r.matches, want) << what;
+    for (size_t i = 1; i < r.matches.size(); ++i) {
+      EXPECT_LT(r.matches[i - 1], r.matches[i]) << what;
+    }
+  };
+  // Plain, each single-disk filter, and the pinned mirror copy.
+  const auto check_every_path = [&](QueryService& service,
+                                    const std::string& phase) {
+    for (size_t b = 0; b < boxes.size(); ++b) {
+      const auto& [lo, hi] = boxes[b];
+      const std::vector<RecordId> want =
+          Sorted(rel.ExecuteRange(lo, hi).value().matches);
+      const std::string what = phase + " box " + std::to_string(b);
+      expect_answer(service.Execute(Range(lo, hi)), want, what);
+      for (uint32_t d = 0; d < 4; ++d) {
+        std::vector<RecordId> on_disk;
+        for (RecordId id : want) {
+          if (rel.DiskOfRecord(id) == d) on_disk.push_back(id);
+        }
+        QueryRequest sub = Range(lo, hi);
+        sub.disks = {d};
+        expect_answer(service.Execute(sub), on_disk,
+                      what + " disk " + std::to_string(d));
+      }
+      QueryRequest pinned = Range(lo, hi);
+      pinned.serve_copy = 1;
+      expect_answer(service.Execute(pinned), want, what + " copy 1");
+    }
+  };
+
+  {
+    auto healthy = QueryService::Create(&env, {}).value();
+    check_every_path(*healthy, "healthy");
+  }
+
+  // Trip disk 2's breaker: its sub-queries read the data file while every
+  // page of it faults, failing over to the mirror. Then the fault heals
+  // (virtual time moves past its window) but the breaker stays open, so
+  // every path plans around disk 2.
+  const std::string data_file =
+      ReadCurrentManifest(env).value().DataFileName(0);
+  FaultyEnvOptions fault;
+  fault.permanent = {{data_file, 0, env.ReadFile(data_file).value().size(),
+                      0.0, 1.0}};
+  auto faulty = FaultyEnv::Create(&env, fault).value();
+  ServeOptions options;
+  options.breaker.min_events = 2;
+  options.breaker.window = 4;
+  options.breaker.failure_ratio = 0.5;
+  options.breaker.open_ms = 1e18;  // Once open, stays open.
+  auto service = QueryService::Create(faulty.get(), options).value();
+  for (int i = 0; i < 2; ++i) {
+    QueryRequest sub = Range({0.0, 0.0}, {1.0, 1.0});
+    sub.disks = {2};
+    const QueryResult r = service->Execute(sub);
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_GT(r.failover_reads, 0u);
+  }
+  faulty->SetNowMs(2.0);
+  for (uint32_t d = 0; d < 4; ++d) {
+    EXPECT_EQ(service->BreakerStateOf(d),
+              d == 2 ? BreakerState::kOpen : BreakerState::kClosed);
+  }
+  check_every_path(*service, "disk 2 tripped");
+  const QueryResult full = service->Execute(Range({0.0, 0.0}, {1.0, 1.0}));
+  EXPECT_GT(full.rerouted_buckets, 0u);
+  EXPECT_EQ(full.failover_reads, 0u);
+  EXPECT_EQ(service->BreakerTotals().opened, 1u);
 }
 
 TEST(QueryServiceTest, DiskFilterPartitionsTheFullAnswer) {

@@ -781,6 +781,8 @@ int CmdMkCatalog(const Flags& flags) {
 
   Catalog catalog(static_cast<uint32_t>(disks.value()));
   Rng rng(static_cast<uint64_t>(seed.value()));
+  // --clustered pads every bucket, so report what was actually inserted.
+  uint64_t inserted = 0;
   for (const std::string& name : names) {
     std::vector<AttributeDef> attrs;
     for (uint32_t d = 0; d < grid.value().num_dims(); ++d) {
@@ -833,6 +835,7 @@ int CmdMkCatalog(const Flags& flags) {
         }
       }
     }
+    inserted = file.value().num_records();
     Result<DeclusteredFile> rel = DeclusteredFile::Create(
         std::move(file).value(), name, static_cast<uint32_t>(disks.value()));
     if (!rel.ok()) return Fail("method '" + name + "': " +
@@ -855,7 +858,7 @@ int CmdMkCatalog(const Flags& flags) {
   Result<uint64_t> gen = SaveCatalogManifest(catalog, &env.value(), options);
   if (!gen.ok()) return Fail(gen.status().ToString());
   std::cout << "committed generation " << gen.value() << ": "
-            << names.size() << " relation(s), " << records.value()
+            << names.size() << " relation(s), " << inserted
             << " record(s) each, redundancy "
             << RedundancyPolicyName(redundancy.value().policy) << "\n";
   if (placement.value().has_value()) {
